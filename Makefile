@@ -128,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz=FuzzParseONE -fuzztime=30s
 	$(GO) test ./internal/trace -fuzz=FuzzParseContacts -fuzztime=30s
 	$(GO) test ./internal/config -fuzz=FuzzScenarioJSON -fuzztime=30s
+	$(GO) test ./internal/core -fuzz=FuzzDropTableGossip -fuzztime=30s
 
 # Regenerate every paper figure + ablations at full scale (~30 min single-core).
 experiments:

@@ -38,32 +38,67 @@ func BenchmarkEstimateSeen(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkDropTableMerge times one contact's drop-list gossip in a
+// mid-run state: 100 owners with 30 drops each, cached by two nodes x and y.
+// Between consecutive contacts six owners drop one more message each, and
+// x and y have each heard three of those drops from someone else (a
+// courier table); the contact then merges both ways, so every iteration
+// replaces records whose owners moved on. Every 512 contacts the two
+// caches are rewound to the initial state with the timer stopped, which
+// keeps the logs bounded; the merges themselves must not allocate.
 func BenchmarkDropTableMerge(b *testing.B) {
-	// A realistic mid-run state: 100 owners, a few hundred drops each side.
-	mk := func(self int) *DropTable {
-		t := NewDropTable(self)
-		for owner := 0; owner < 100; owner++ {
-			if owner == self {
-				continue
-			}
-			src := NewDropTable(owner)
-			for k := 0; k < 6; k++ {
-				src.RecordDrop(msg.ID(owner*10+k), float64(owner+k))
-			}
-			t.MergeFrom(src)
+	const owners, initial, rounds, news = 100, 30, 512, 3
+	srcs := make([]*DropTable, owners)
+	next := msg.ID(1)
+	for o := range srcs {
+		srcs[o] = NewDropTable(o)
+		for k := 0; k < initial; k++ {
+			srcs[o].RecordDrop(next, float64(k))
+			next++
 		}
-		return t
 	}
-	a, bb := mk(0), mk(1)
-	for k := 0; k < 50; k++ {
-		a.RecordDrop(msg.ID(5000+k), float64(k))
-		bb.RecordDrop(msg.ID(6000+k), float64(k))
+	base := NewDropTable(owners + 2)
+	for _, src := range srcs {
+		base.MergeFrom(src)
 	}
+	var couriers [2][rounds]*DropTable
+	for r := 0; r < rounds; r++ {
+		for side := range couriers {
+			c := NewDropTable(owners + 2)
+			for j := 0; j < news; j++ {
+				o := (r*2*news + side*news + j) * 37 % owners
+				srcs[o].RecordDrop(next, float64(initial+r))
+				next++
+				c.MergeFrom(srcs[o])
+			}
+			couriers[side][r] = c
+		}
+	}
+	x, y := NewDropTable(owners), NewDropTable(owners+1)
+	rewind := func() {
+		for _, t := range []*DropTable{x, y} {
+			t.Reset()
+			t.MergeFrom(base)
+		}
+	}
+	for _, src := range srcs { // size the indexes for the largest id
+		x.MergeFrom(src)
+		y.MergeFrom(src)
+	}
+	rewind()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.MergeFrom(bb)
-		bb.MergeFrom(a)
+		r := i % rounds
+		if r == 0 && i > 0 {
+			b.StopTimer()
+			rewind()
+			b.StartTimer()
+		}
+		x.MergeFrom(couriers[0][r])
+		y.MergeFrom(couriers[1][r])
+		x.MergeFrom(y)
+		y.MergeFrom(x)
 	}
 }
 

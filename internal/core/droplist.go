@@ -1,32 +1,30 @@
 package core
 
 import (
-	"slices"
-
 	"sdsrp/internal/msg"
 )
 
-// DropRecord is one node's dropped-message record (paper Fig. 5): the set of
-// messages that node has evicted, stamped with the time of its latest drop.
-// Only the owner mutates its record; everyone else caches and forwards it.
-//
-// The set is a sorted id slice rather than a map: message ids are dense
-// small integers, gossip replaces whole records (a memcpy for a slice, a
-// rehash per element for a map), and the merge path diffs consecutive
-// generations with one linear walk. This representation is what keeps
-// DropTable.MergeFrom — the dominant per-contact cost of the dense paper
-// scenarios — off the profile.
-type DropRecord struct {
-	Owner int
-	Time  float64 // generation time of the record: the owner's latest drop
-	ids   []msg.ID
+// dropLog is one owner's drops in one epoch: message ids in drop order,
+// without duplicates (an id is logged twice only if re-dropped after
+// Forget, which expiry rules out). Only the owner appends, and no entry is
+// ever rewritten, so every prefix of the log can be shared by reference. A
+// churn Reset starts a new log, so the log's identity is the epoch.
+type dropLog struct{ ids []msg.ID }
+
+// dropRecord is one table's cached copy of a node's dropped-message record
+// (paper Fig. 5): the messages that node has evicted, stamped with the time
+// of its latest drop. The id set is not a copy but the first n entries of
+// the owner's log, so gossip copies three words, and two records of one
+// owner in the same epoch differ only by a tail of the log, which is all a
+// merge has to count.
+type dropRecord struct {
+	time float64  // generation time: the owner's latest drop
+	n    int      // length of the log prefix the record covers
+	log  *dropLog // the owner's log for the record's epoch; nil = no record
 }
 
-// Contains reports whether the record's set holds id.
-func (r *DropRecord) Contains(id msg.ID) bool {
-	_, ok := slices.BinarySearch(r.ids, id)
-	return ok
-}
+// ids returns the record's id set.
+func (r *dropRecord) ids() []msg.ID { return r.log.ids[:r.n] }
 
 // DropTable is a node's view of every node's drop record, gossiped on
 // contact. It answers two questions for SDSRP:
@@ -38,99 +36,102 @@ func (r *DropRecord) Contains(id msg.ID) bool {
 //     already in their dropped lists").
 //
 // Storage is owner-indexed and id-indexed: records[owner] is the newest
-// known record for that node, and counts[id] the number of owners whose set
-// holds id. Both slices grow on demand, so the table still accepts sparse
-// or test-fabricated ids; real runs use the world's dense 1..K numbering.
+// known record for that node, and counts[id] holds twice the number of
+// owners whose record lists id, plus one when this node dropped id itself
+// (the own-drop flag sits in the low bit, which ±2 count updates never
+// touch). Both slices grow on demand, so the table still accepts sparse or
+// test-fabricated ids; real runs use the world's dense 1..K numbering.
+//
+// Performance contract: a merge costs one time comparison per peer record
+// plus one count update per id that changed hands; steady-state gossip
+// neither copies ids nor allocates.
 type DropTable struct {
 	self    int
-	records []*DropRecord // owner -> newest known record; nil = none
-	nrec    int           // non-nil records (Records)
-	counts  []int32       // message id -> #owners whose set contains it
+	records []dropRecord // owner -> newest known record; nil log = none
+	nrec    int          // records with a log (Records)
+	counts  []int32      // message id -> 2·#owners listing it | own-drop bit
 }
+
+// ownDrop is the low bit of counts[id]: this node dropped id itself.
+const ownDrop = 1
 
 // NewDropTable returns an empty table for node self.
 func NewDropTable(self int) *DropTable {
 	return &DropTable{self: self}
 }
 
-// record returns the slot for owner, growing the table as needed.
-func (t *DropTable) record(owner int) *DropRecord {
+// growRecords makes records[owner] addressable.
+func (t *DropTable) growRecords(owner int) {
 	if owner >= len(t.records) {
-		t.records = append(t.records, make([]*DropRecord, owner+1-len(t.records))...)
+		t.records = append(t.records, make([]dropRecord, owner+1-len(t.records))...)
 	}
-	return t.records[owner]
 }
 
-func (t *DropTable) incCount(id msg.ID) {
+// add adds delta to counts[id], growing the index as needed.
+func (t *DropTable) add(id msg.ID, delta int32) {
 	if int(id) >= len(t.counts) {
 		t.counts = append(t.counts, make([]int32, int(id)+1-len(t.counts))...)
 	}
-	t.counts[id]++
+	t.counts[id] += delta
 }
 
-func (t *DropTable) decCount(id msg.ID) {
-	if int(id) < len(t.counts) {
-		t.counts[id]--
+// addAll adds delta to the count of every id in ids.
+func (t *DropTable) addAll(ids []msg.ID, delta int32) {
+	for _, id := range ids {
+		t.add(id, delta)
 	}
 }
 
 // RecordDrop registers that this node evicted message id at time now,
 // updating its own record's generation time (only the owner may do this).
 func (t *DropTable) RecordDrop(id msg.ID, now float64) {
-	rec := t.record(t.self)
-	if rec == nil {
-		rec = &DropRecord{Owner: t.self}
-		t.records[t.self] = rec
+	t.growRecords(t.self)
+	rec := &t.records[t.self]
+	if rec.log == nil {
+		rec.log = &dropLog{}
 		t.nrec++
 	}
-	rec.Time = now
-	if pos, dup := slices.BinarySearch(rec.ids, id); !dup {
-		rec.ids = slices.Insert(rec.ids, pos, id)
-		t.incCount(id)
+	rec.time = now
+	if t.RejectsIncoming(id) {
+		return
 	}
+	t.add(id, 2|ownDrop)
+	rec.log.ids = append(rec.log.ids, id)
+	rec.n++
 }
 
 // MergeFrom absorbs every record in the peer's table that is newer than the
-// locally cached copy for the same owner, following the Fig. 5 update rule
-// (keep the record with the latest record time; a node's own record is
-// authoritative and never overwritten by gossip). A replaced record updates
-// the count index by a sorted diff walk of the two generations, so only ids
-// that actually changed hands cost anything; the cached copy reuses its
-// backing array, so steady-state gossip does not allocate.
+// locally cached copy for the same owner, following the Fig. 5 update rule:
+// a record is replaced only when the peer's record time is strictly newer,
+// and a node's own record is authoritative and never overwritten by gossip.
+// Several drops at one instant share a record time, so a node that cached
+// the first of them learns the rest only with the owner's next drop; the
+// log length is the delta cursor, never the thing compared.
+//
+// Within one owner epoch both records are prefixes of the same log, so only
+// the ids between the two lengths change the counts. A record replaced
+// across epochs (the owner rebooted under churn) is recounted in full.
 func (t *DropTable) MergeFrom(peer *DropTable) {
-	for owner, rec := range peer.records {
-		if rec == nil || owner == t.self {
+	t.growRecords(len(peer.records) - 1)
+	mine := t.records[:len(peer.records)]
+	for owner := range peer.records {
+		rec, cur := &peer.records[owner], &mine[owner]
+		if rec.log == nil || (cur.log != nil && cur.time >= rec.time) || owner == t.self {
 			continue
 		}
-		cur := t.record(owner)
-		if cur != nil && cur.Time >= rec.Time {
-			continue
-		}
-		var old []msg.ID
-		if cur == nil {
-			cur = &DropRecord{Owner: owner}
-			t.records[owner] = cur
+		switch {
+		case cur.log == nil:
 			t.nrec++
-		} else {
-			old = cur.ids
+			t.addAll(rec.ids(), 2)
+		case cur.log != rec.log:
+			t.addAll(cur.ids(), -2)
+			t.addAll(rec.ids(), 2)
+		case rec.n >= cur.n:
+			t.addAll(rec.log.ids[cur.n:rec.n], 2)
+		default: // an older clock stamped a longer prefix; count it back
+			t.addAll(cur.log.ids[rec.n:cur.n], -2)
 		}
-		// Diff walk: decrement ids only in the old generation, increment
-		// ids only in the new one; shared ids cost a comparison each.
-		i, j := 0, 0
-		for i < len(old) || j < len(rec.ids) {
-			switch {
-			case j >= len(rec.ids) || (i < len(old) && old[i] < rec.ids[j]):
-				t.decCount(old[i])
-				i++
-			case i >= len(old) || rec.ids[j] < old[i]:
-				t.incCount(rec.ids[j])
-				j++
-			default:
-				i, j = i+1, j+1
-			}
-		}
-		cur.Time = rec.Time
-		cur.ids = append(cur.ids[:0], rec.ids...)
+		*cur = *rec
 	}
 }
 
@@ -140,31 +141,23 @@ func (t *DropTable) DroppedCount(id msg.ID) int {
 	if int(id) >= len(t.counts) || id < 0 {
 		return 0
 	}
-	return int(t.counts[id])
+	return max(0, int(t.counts[id]>>1))
 }
 
 // RejectsIncoming reports whether this node previously dropped id itself
 // and therefore refuses to store it again.
 func (t *DropTable) RejectsIncoming(id msg.ID) bool {
-	if t.self >= len(t.records) {
-		return false
-	}
-	rec := t.records[t.self]
-	return rec != nil && rec.Contains(id)
+	return int(id) < len(t.counts) && id >= 0 && t.counts[id]&ownDrop != 0
 }
 
-// Forget removes all knowledge of id (used when a message expires globally:
-// its records can no longer influence any decision). Calling Forget for a
-// live message would corrupt d̂_i, so callers gate it on TTL expiry.
+// Forget clears this node's own rejection of id and its count: used when a
+// message expires globally, after which neither can influence a decision.
+// The cached records keep listing id — they are shared with their owners —
+// so a later merge may count it again; nothing reads that count, because
+// TTL expiry removes the message from every buffer in one event. Calling
+// Forget for a live message would corrupt d̂_i, so callers gate it on
+// expiry.
 func (t *DropTable) Forget(id msg.ID) {
-	for _, rec := range t.records {
-		if rec == nil {
-			continue
-		}
-		if pos, ok := slices.BinarySearch(rec.ids, id); ok {
-			rec.ids = slices.Delete(rec.ids, pos, pos+1)
-		}
-	}
 	if int(id) < len(t.counts) && id >= 0 {
 		t.counts[id] = 0
 	}
@@ -173,9 +166,11 @@ func (t *DropTable) Forget(id msg.ID) {
 // Records returns the number of owner records known (diagnostics).
 func (t *DropTable) Records() int { return t.nrec }
 
-// Reset discards every record — the node's own and all gossiped copies.
-// Used by the fault layer's crash/reboot churn when a reboot wipes state;
-// peers still hold (and will re-gossip) this node's old record.
+// Reset discards every record — the node's own and all gossiped copies —
+// and starts a new own epoch, so the node's next drops begin a fresh log
+// instead of overwriting the one its peers still share. Used by the fault
+// layer's crash/reboot churn when a reboot wipes state; peers still hold
+// (and will re-gossip) this node's old record.
 func (t *DropTable) Reset() {
 	clear(t.records)
 	t.nrec = 0

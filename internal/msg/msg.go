@@ -56,6 +56,48 @@ type Stored struct {
 	// produced (or last divided) this copy. SDSRP uses it to estimate
 	// m_i(T_i) per Eq. 15.
 	SprayTimes []float64
+
+	seen seenMemo
+}
+
+// seenMemo caches one Eq. 15 estimate of a copy together with every input
+// that produced it (see CachedSeen). It is 32 bytes, which keeps Stored in
+// the 96-byte allocation size class.
+type seenMemo struct {
+	now, eiMin float64
+	// copies, sprayLen and nodes are the remaining inputs; seen1 is the
+	// estimate plus one, so the zero memo holds nothing.
+	copies, sprayLen, nodes, seen1 int32
+}
+
+// CachedSeen returns the m̂ estimate memoized by CacheSeen when it was made
+// for exactly these inputs: the clock now, the rate estimate eiMin, the
+// node count, and the copy's current Copies and SprayTimes.
+//
+// The memo is sound because the estimate is a pure function of those
+// inputs and every one of them is compared: SprayTimes only ever grows by
+// appending, so its length pins its content, and the rest are compared
+// bitwise. A hit therefore returns what recomputing would, bit for bit, no
+// matter which host scores the copy.
+func (s *Stored) CachedSeen(now, eiMin float64, nodes int) (int, bool) {
+	m := &s.seen
+	if m.seen1 == 0 || m.now != now || m.eiMin != eiMin || int(m.nodes) != nodes ||
+		int(m.copies) != s.Copies || int(m.sprayLen) != len(s.SprayTimes) {
+		return 0, false
+	}
+	return int(m.seen1) - 1, true
+}
+
+// CacheSeen memoizes seen as the estimate for the inputs CachedSeen
+// compares. Values that do not fit the compact memo clear it instead.
+func (s *Stored) CacheSeen(now, eiMin float64, nodes, seen int) {
+	m := seenMemo{now: now, eiMin: eiMin, copies: int32(s.Copies),
+		sprayLen: int32(len(s.SprayTimes)), nodes: int32(nodes), seen1: int32(seen + 1)}
+	if int(m.copies) != s.Copies || int(m.sprayLen) != len(s.SprayTimes) ||
+		int(m.nodes) != nodes || int(m.seen1) != seen+1 {
+		m = seenMemo{}
+	}
+	s.seen = m
 }
 
 // NewSourceCopy returns the copy held by the source at generation time.

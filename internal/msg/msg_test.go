@@ -3,6 +3,7 @@ package msg
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newTestMessage() *Message {
@@ -172,5 +173,33 @@ func TestPropertyTokenConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The inline Eq. 15 memo must not push Stored out of the 96-byte size
+// class every policy's buffers allocate from.
+func TestStoredSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Stored{}); sz > 96 {
+		t.Fatalf("sizeof(Stored) = %d, want <= 96", sz)
+	}
+}
+
+func TestSeenMemo(t *testing.T) {
+	s := &Stored{M: newTestMessage(), Copies: 4, SprayTimes: []float64{1}}
+	if _, ok := s.CachedSeen(0, 0, 0); ok {
+		t.Fatal("zero memo hit")
+	}
+	s.CacheSeen(10, 2.5, 100, 0)
+	if seen, ok := s.CachedSeen(10, 2.5, 100); !ok || seen != 0 {
+		t.Fatalf("CachedSeen = %d,%v, want 0,true", seen, ok)
+	}
+	if _, ok := s.CachedSeen(10, 2.5, 101); ok {
+		t.Fatal("hit with another node count")
+	}
+	// Inputs the compact memo cannot hold are never cached.
+	s.Copies = 1 << 40
+	s.CacheSeen(10, 2.5, 100, 3)
+	if _, ok := s.CachedSeen(10, 2.5, 100); ok {
+		t.Fatal("hit for a token count beyond the memo's range")
 	}
 }

@@ -96,13 +96,6 @@ type Host struct {
 	tracer    obs.Tracer
 	role      fault.Role
 
-	// seenMemo caches the Eq. 15 lineage estimate per stored copy. The
-	// estimator walks the whole spray lineage, and a single contact scores
-	// every buffered copy several times (send order, eviction plans, both
-	// Eq. 10 terms) at one instant with unchanged inputs — see seenFor for
-	// the keying argument.
-	seenMemo map[*msg.Stored]seenEntry
-
 	// received marks messages this host has consumed as their destination.
 	received map[msg.ID]bool
 	// lastContact records the latest link-up time per peer (Spray-and-Focus
@@ -132,7 +125,6 @@ func NewHost(cfg HostConfig) *Host {
 		oracle:      cfg.Oracle,
 		tracer:      cfg.Tracer,
 		role:        cfg.Role,
-		seenMemo:    make(map[*msg.Stored]seenEntry),
 		received:    make(map[msg.ID]bool),
 		lastContact: make(map[int]float64),
 	}
@@ -206,40 +198,19 @@ func (h *Host) EIMin() float64 {
 	return h.rate.EIMin(h.nodes)
 }
 
-// seenEntry caches one EstimateSeen result together with the inputs that
-// produced it.
-type seenEntry struct {
-	now, eimin float64
-	copies     int
-	sprayLen   int
-	seen       int
-}
-
-// seenFor returns EstimateSeen(s, now) through the per-host memo.
-//
-// The cache is sound because EstimateSeen is a pure function of
-// (SprayTimes, Copies, now, EIMin, nodes) and the key pins all of them:
-// nodes is constant for the host, SprayTimes is append-only (its length
-// determines its content for a given copy), and Copies plus the clock and
-// rate estimate are compared directly. A hit therefore has bit-identical
-// inputs and returns the bit-identical answer — the memo cannot change
-// simulation behaviour, only skip the lineage walk.
+// seenFor returns EstimateSeen(s, now) through the copy's inline memo.
+// The estimator walks the whole spray lineage, and a single contact scores
+// every buffered copy several times (send order, eviction plans, both
+// Eq. 10 terms) at one instant with unchanged inputs; the memo compares
+// every input (msg.Stored.CachedSeen), so a hit is bit-identical to a
+// recomputation and cannot change simulation behaviour.
 func (h *Host) seenFor(s *msg.Stored) int {
 	now, eimin := h.clock(), h.EIMin()
-	if e, ok := h.seenMemo[s]; ok &&
-		e.now == now && e.eimin == eimin &&
-		e.copies == s.Copies && e.sprayLen == len(s.SprayTimes) {
-		return e.seen
+	if seen, ok := s.CachedSeen(now, eimin, h.nodes); ok {
+		return seen
 	}
 	seen := core.EstimateSeen(s.SprayTimes, s.Copies, now, eimin, h.nodes)
-	// The memo is only a cache: when stale entries (dropped copies,
-	// transient phantoms) accumulate past a small multiple of the buffer
-	// population, discard it wholesale rather than tracking lifetimes.
-	if len(h.seenMemo) > 2*h.buf.Len()+64 {
-		clear(h.seenMemo)
-	}
-	h.seenMemo[s] = seenEntry{now: now, eimin: eimin, copies: s.Copies,
-		sprayLen: len(s.SprayTimes), seen: seen}
+	s.CacheSeen(now, eimin, h.nodes, seen)
 	return seen
 }
 

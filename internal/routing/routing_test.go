@@ -587,3 +587,45 @@ func TestOriginateOversizedMessageDropped(t *testing.T) {
 		t.Fatal("tracker counts an unstored message")
 	}
 }
+
+// movingRate is a rate source whose estimate a test can move.
+type movingRate struct{ core.FixedRate }
+
+// The inline Eq. 15 memo must miss whenever an input moves (clock, rate
+// estimate, tokens, lineage) and, for a copy scored by two hosts with
+// different rate estimates, return exactly what EstimateSeen does.
+func TestSeenMemoTracksEveryInput(t *testing.T) {
+	tn := newTestNet(2, policy.SDSRP{}, SprayAndWait{Binary: true}, 10000, true)
+	ra, rb := &movingRate{core.FixedRate{Mean: 9900}}, &movingRate{core.FixedRate{Mean: 19800}}
+	tn.hosts[0].rate, tn.hosts[1].rate = ra, rb
+	tn.hosts[0].nodes, tn.hosts[1].nodes = 100, 100
+	a, b := tn.hosts[0], tn.hosts[1]
+	s := &msg.Stored{M: tn.message(1, 0, 1, 64, 500, 1e6), Copies: 16, SprayTimes: []float64{0, 100}}
+
+	prev := -1
+	score := func(step string, h *Host, mustChange bool) {
+		t.Helper()
+		want := core.EstimateSeen(s.SprayTimes, s.Copies, tn.now, h.EIMin(), h.Nodes())
+		for i := 0; i < 2; i++ { // the second call is served by the memo
+			if got := h.seenFor(s); got != want {
+				t.Fatalf("%s: seenFor = %d, EstimateSeen = %d", step, got, want)
+			}
+		}
+		if mustChange && want == prev {
+			t.Fatalf("%s: the estimate did not move (%d); the step tests nothing", step, want)
+		}
+		prev = want
+	}
+	tn.now = 300
+	score("first", a, false)
+	score("other host", b, true)
+	score("back to first", a, true)
+	tn.now = 700
+	score("clock", a, true)
+	ra.Mean = 14850
+	score("EIMin", a, true)
+	s.Copies = 2
+	score("Copies", a, true)
+	s.SprayTimes = append(s.SprayTimes, 650)
+	score("SprayTimes", a, true)
+}
