@@ -2,14 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-report test test-short race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
+.PHONY: all build fmt-check vet lint lint-report test test-short race bench bench-smoke bench-report trace-smoke resume-smoke fuzz fuzz-smoke experiments check resilience examples clean
 
 all: build vet lint test
 
 build:
 	$(GO) build ./...
 
-vet:
+# Fails, listing the offenders, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+vet: fmt-check
 	$(GO) vet ./...
 
 # Determinism + hot-path + shard-safety static analysis (DESIGN.md §11),
@@ -129,6 +134,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -fuzz=FuzzParseContacts -fuzztime=30s
 	$(GO) test ./internal/config -fuzz=FuzzScenarioJSON -fuzztime=30s
 	$(GO) test ./internal/core -fuzz=FuzzDropTableGossip -fuzztime=30s
+	$(GO) test ./internal/geo -fuzz=FuzzGridIncremental -fuzztime=30s
 
 # Regenerate every paper figure + ablations at full scale (~30 min single-core).
 experiments:

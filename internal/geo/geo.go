@@ -6,16 +6,20 @@
 //
 // Grid is the per-tick hot path of the whole simulator: the network scanner
 // calls Update then Pairs once per scan interval for the entire run (see
-// PERFORMANCE.md for the cost model). Both query methods — Pairs and Near —
-// therefore follow the append-to-out idiom: they append results to the
-// caller-supplied slice and return the extended slice, so a caller that
-// passes back last tick's buffer as out[:0] queries with zero allocations
-// at steady state. Passing nil is always valid and yields a fresh slice.
-// Results alias the out buffer: reusing it overwrites the previous call's
-// results in place (internal/geo/reuse_test.go pins these semantics).
+// PERFORMANCE.md for the cost model). Its query method, Pairs, follows the
+// append-to-out idiom: it appends results to the caller-supplied slice and
+// returns the extended slice, so a caller that passes back last tick's
+// buffer as out[:0] queries with zero allocations at steady state. Passing
+// nil is always valid and yields a fresh slice. Results alias the out
+// buffer: reusing it overwrites the previous call's results in place
+// (internal/geo/reuse_test.go pins these semantics).
 //
-// Grid.Update likewise reuses its per-cell buckets, so a rebuild every scan
-// tick is a copy plus bucketing with no steady-state allocation.
+// Grid is an incremental index, not a per-tick rebuild: Update costs
+// O(n + crossings) — it relinks only items that changed cell — and never
+// allocates, and Pairs costs O(n/64 + occupied cells + candidate pairs).
+// Memory is ~4 B per cell (an occupancy bit and the cell's smallest id)
+// plus ~32 B per item.
+//
 //lint:shard-safe pure geometry plus per-instance grid state; nothing shared
 package geo
 

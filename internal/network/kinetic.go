@@ -98,11 +98,10 @@ const (
 )
 
 // upCand carries one up candidate's reconstructed grid-pass position: the
-// generating cell's rank (its minimum bucketed node id — exactly the order
-// geo.Grid.Update appends cells to its occupied list, since ids are
-// inserted ascending), the enumeration phase (0 = within-cell, 1..4 = the
-// forward neighbour directions E, SW, S, SE), and the iteration ids (a from
-// the generating cell, b from the neighbour cell).
+// generating cell's rank (its minimum bucketed node id — exactly the rank
+// geo.Grid.Pairs visits cells in), the enumeration phase (0 = within-cell,
+// 1..4 = the forward neighbour directions E, SW, S, SE), and the iteration
+// ids (a from the generating cell, b from the neighbour cell).
 type upCand struct {
 	key  pairKey
 	rank int32
@@ -515,11 +514,10 @@ func fwdDir(dx, dy int) int8 {
 	return 0
 }
 
-// minID returns the smallest node id bucketed in cell ci. Because
-// geo.Grid.Update inserts ids in ascending order and appends a cell to its
-// occupied list the first time an id lands in it, ascending min-id order IS
-// the grid's cell visit order — which makes the rank reconstructable
-// without building the grid.
+// minID returns the smallest node id bucketed in cell ci. geo.Grid.Pairs
+// visits occupied cells in ascending order of their smallest id, so this
+// is the cell's rank in the grid pass — reconstructable without building
+// the grid.
 func (s *kinetic) minID(ci int32) int32 {
 	min := int32(math.MaxInt32)
 	for j := s.cellHead[ci]; j != -1; j = s.cnext[j] {
@@ -531,9 +529,9 @@ func (s *kinetic) minID(ci int32) int32 {
 }
 
 // emitUps emits two-or-more up candidates in the exact order the naive grid
-// pass would: cells in ascending-min-id (= occupied-list) order; within a
-// cell, the within-cell phase then the four forward-neighbour phases; within
-// a phase, lexicographic iteration ids. Candidate cells are identical to a
+// pass would: cells in ascending-min-id order; within a cell, the
+// within-cell phase then the four forward-neighbour phases; within a
+// phase, lexicographic iteration ids. Candidate cells are identical to a
 // freshly built grid's because every bucket assignment is truthful (awake
 // nodes reassigned this tick, parked nodes pinned by their cell deadline)
 // and computed by the same CellIndex arithmetic.

@@ -20,6 +20,7 @@
 //   - Optional per-node radio ranges (both radios must reach), a battery
 //     model (EnergyConfig), and contact-trace replay (StartScheduled)
 //     extend the paper's fixed setup.
+//
 //lint:shard-safe manager state is per-run; map iteration feeding the event stream is collect-then-sort throughout
 package network
 
@@ -239,6 +240,9 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		}
 		cell = cfg.CellSize
 	}
+	if err := checkGridSize(cfg.Area, cell); err != nil {
+		return nil, err
+	}
 	m := &Manager{
 		eng:       eng,
 		cfg:       cfg,
@@ -294,6 +298,36 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		}
 	}
 	return m, nil
+}
+
+// maxGridCells caps the contact grid's cell count (columns × rows). At
+// ~4 B per cell in geo.Grid and 4 B more in the kinetic scanner's bucket
+// heads, the cap bounds per-cell memory at about half a gigabyte; the
+// largest shipped scenario (scan100k) needs 251 001 cells.
+const maxGridCells = 1 << 26
+
+// GridTooLargeError reports a scenario whose area, cut into cells of the
+// contact grid's size, needs more than maxGridCells cells.
+type GridTooLargeError struct {
+	Area  geo.Rect
+	Cell  float64 // cell edge, metres
+	Cells float64 // columns × rows, computed in float so it cannot overflow
+}
+
+func (e *GridTooLargeError) Error() string {
+	return fmt.Sprintf("network: area %g × %g m at cell size %g m needs %.4g grid cells, above the limit of %d (raise the cell size or shrink the area)",
+		e.Area.W(), e.Area.H(), e.Cell, e.Cells, maxGridCells)
+}
+
+// checkGridSize returns a *GridTooLargeError when geo.NewGrid(area, cell, ·)
+// would need more than maxGridCells cells, before anything is allocated.
+func checkGridSize(area geo.Rect, cell float64) error {
+	cols := math.Max(math.Floor(area.W()/cell)+1, 1)
+	rows := math.Max(math.Floor(area.H()/cell)+1, 1)
+	if cells := cols * rows; !(cells <= maxGridCells) {
+		return &GridTooLargeError{Area: area, Cell: cell, Cells: cells}
+	}
+	return nil
 }
 
 // noteFallback records a scan-strategy fallback reason once.

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sdsrp/internal/core"
@@ -358,6 +361,52 @@ func TestNewManagerRejectsBadInputs(t *testing.T) {
 		ScanInterval: 1},
 		[]*routing.Host{h}, nil, collector, nil); err == nil {
 		t.Fatal("no error on hosts/models mismatch")
+	}
+}
+
+// TestNewManagerRejectsOversizedGrid checks that an area too large for the
+// contact grid is an error naming the area, cell size and cell count —
+// reported before any per-cell allocation — and that the shipped
+// scenarios' grids stay well inside the ceiling.
+func TestNewManagerRejectsOversizedGrid(t *testing.T) {
+	eng := sim.NewEngine()
+	collector := stats.NewCollector()
+	h := routing.NewHost(routing.HostConfig{
+		ID: 0, Nodes: 1, Buffer: 10, Policy: policy.FIFO{},
+		Proto: routing.SprayAndWait{Binary: true}, Rate: core.FixedRate{Mean: 1},
+		Clock: eng.Now, Collector: collector,
+	})
+	for _, area := range []geo.Rect{
+		geo.NewRect(1e9, 1e9),
+		geo.NewRect(1e300, 1e300), // cols × rows overflows int
+		geo.NewRect(math.Inf(1), 10),
+		geo.NewRect(1e5, 1e8), // only one axis is large
+	} {
+		_, err := NewManager(eng, Config{Area: area, Range: 100, Bandwidth: 1, ScanInterval: 1},
+			[]*routing.Host{h}, []mobility.Model{&puppet{}}, collector, nil)
+		var big *GridTooLargeError
+		if !errors.As(err, &big) {
+			t.Fatalf("area %v: got %v, want a *GridTooLargeError", area, err)
+		}
+		if big.Cell != 100 || big.Area != area || !(big.Cells > maxGridCells) {
+			t.Errorf("area %v: error fields %+v", area, big)
+		}
+		msg := err.Error()
+		for _, want := range []string{fmt.Sprintf("%g × %g m", area.W(), area.H()), "cell size 100 m", "grid cells"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("area %v: error %q does not mention %q", area, msg, want)
+			}
+		}
+	}
+	// The largest shipped grid (scan100k: 250 km square at 500 m cells)
+	// and the Table III grid are far below the ceiling.
+	for _, c := range []struct {
+		area geo.Rect
+		cell float64
+	}{{geo.NewRect(250000, 250000), 500}, {geo.NewRect(13000, 12000), 100}} {
+		if err := checkGridSize(c.area, c.cell); err != nil {
+			t.Errorf("shipped grid %v at %g m rejected: %v", c.area, c.cell, err)
+		}
 	}
 }
 

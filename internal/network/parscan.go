@@ -189,8 +189,8 @@ func (m *Manager) scanSharded(now float64) {
 			// to shards b−1 and b. Built once per window — the assignment
 			// is frozen until the next window start, so the previous
 			// per-tick O(n·workers) re-collection was pure waste. The
-			// ascending append order preserves UpdateSubset's enumeration
-			// order exactly.
+			// ascending append order lets UpdateSubset place each id in
+			// O(1).
 			if b > 0 {
 				ps.ids[b-1] = append(ps.ids[b-1], int32(i))
 			}

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"sdsrp/internal/config"
 	"sdsrp/internal/geo"
 	"sdsrp/internal/msg"
+	"sdsrp/internal/network"
 )
 
 // mustRun executes w to its horizon, failing the test on a run error.
@@ -50,6 +53,31 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	sc.ProtocolName = "nope"
 	if _, err := Build(sc); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+}
+
+// TestBuildRejectsOversizedGrid checks that a scenario whose area is too
+// large for the contact grid — here read back from JSON, as dtnsim -config
+// would — fails Build with the network layer's typed error instead of
+// exhausting memory.
+func TestBuildRejectsOversizedGrid(t *testing.T) {
+	sc := smallScenario("SDSRP")
+	sc.Area.Max = geo.Point{X: 1e9, Y: 1e9}
+	data, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err = config.Parse(data)
+	if err != nil {
+		t.Fatalf("huge-area scenario should validate: %v", err)
+	}
+	_, err = Build(sc)
+	var big *network.GridTooLargeError
+	if !errors.As(err, &big) {
+		t.Fatalf("Build: got %v, want a *network.GridTooLargeError", err)
+	}
+	if big.Area != sc.Area || big.Cell != sc.Range {
+		t.Errorf("error names area %v at cell %v, want %v at %v", big.Area, big.Cell, sc.Area, sc.Range)
 	}
 }
 
