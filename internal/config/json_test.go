@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sdsrp/internal/fault"
@@ -34,12 +35,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownFields pins the strict decoder. The Workers case
+// is an otherwise valid scenario that still asks for the removed sharded
+// scan: it must fail to load, not run serially without saying so.
 func TestLoadRejectsUnknownFields(t *testing.T) {
+	valid, err := json.Marshal(RandomWaypoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(valid); err != nil {
+		t.Fatalf("base scenario rejected: %v", err)
+	}
+	withWorkers := []byte(string(valid[:len(valid)-1]) + `,"Workers":2}`)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	os.WriteFile(path, []byte(`{"Name":"x","Bufersize":5}`), 0o644)
-	if _, err := Load(path); err == nil {
-		t.Fatal("unknown field accepted")
+	for name, data := range map[string][]byte{
+		"typo":    []byte(`{"Name":"x","Bufersize":5}`),
+		"workers": withWorkers,
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: want an unknown-field error, got %v", name, err)
+		}
 	}
 }
 

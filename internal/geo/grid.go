@@ -16,7 +16,7 @@ import "math/bits"
 // smallest id of its cell). Items in a cell form a chain in ascending id
 // order, and a cell's smallest id is its rank in the Pairs enumeration,
 // which is what makes the pair order a pure function of the current
-// positions (DESIGN.md §14).
+// positions (DESIGN.md §13).
 type Grid struct {
 	area Rect
 	cell float64
@@ -69,9 +69,6 @@ func NewGrid(area Rect, cell float64, n int) *Grid {
 		heads: make([]uint64, (n+63)/64),
 	}
 }
-
-// CellSize returns the grid's cell edge length in metres.
-func (g *Grid) CellSize() float64 { return g.cell }
 
 // Dims returns the grid's column and row counts.
 func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
@@ -197,40 +194,6 @@ func (g *Grid) Update(pos []Point) {
 		if ci := int32(cy*g.cols + cx); ci != g.items[id].cell {
 			g.move(int32(id), ci, cx, cy)
 		}
-	}
-}
-
-// UpdateSubset rebuilds the grid from only the listed item ids, reading
-// their coordinates from pos (which must have the full length n passed to
-// NewGrid — ids index into it). ids must be distinct. Queries then see
-// just the subset: Pairs enumerates pairs within it in the same order an
-// Update of exactly those items would give, whatever order ids come in.
-// Only the listed ids' cached positions are refreshed — unlisted items
-// keep stale coordinates, which subset queries never read. Built for the
-// sharded scan's per-stripe grids (DESIGN.md §13), where each shard
-// indexes its own node band plus the neighbouring one.
-//
-// Performance contract: O(n/64 + k + len(ids)) with no allocation, where
-// k is the number of items the grid held before: those are unlinked
-// cell by cell, and ids are placed last to first, so ascending ids
-// (what the sharded scan passes) prepend to their chains in O(1) each;
-// other orders pay an in-order chain insert per id.
-func (g *Grid) UpdateSubset(pos []Point, ids []int32) {
-	for w, word := range g.heads {
-		for ; word != 0; word &= word - 1 {
-			s := g.items[w<<6|bits.TrailingZeros64(word)]
-			clearBit(g.occ, s.cell)
-			for a := g.head[s.cell]; a >= 0; a = g.items[a].next {
-				g.items[a].cell = -1
-			}
-		}
-		g.heads[w] = 0
-	}
-	for k := len(ids) - 1; k >= 0; k-- {
-		id := ids[k]
-		g.pos[id] = pos[id]
-		cx, cy := g.coords(pos[id])
-		g.move(id, int32(cy*g.cols+cx), cx, cy)
 	}
 }
 

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -227,84 +226,6 @@ func BenchmarkGridPairsTable3(b *testing.B) {
 	benchmarkGridFrames(b, area, 100, movingFrames(rng.New(1), area, 200, 12, 14, 256))
 }
 
-// TestUpdateSubsetMatchesUpdate checks the sharded-scan contract: indexing
-// the full id set via UpdateSubset (ascending ids) is indistinguishable
-// from Update — same pairs in the same order — and indexing a subset
-// yields exactly the brute-force pairs within that subset.
-func TestUpdateSubsetMatchesUpdate(t *testing.T) {
-	s := rng.New(42)
-	area := NewRect(900, 700)
-	const n = 60
-	gFull := NewGrid(area, 120, n)
-	gSub := NewGrid(area, 120, n)
-	pos := make([]Point, n)
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	var bufA, bufB [][2]int32
-	for tick := 0; tick < 30; tick++ {
-		for i := range pos {
-			pos[i] = Point{s.Uniform(0, 900), s.Uniform(0, 700)}
-		}
-		gFull.Update(pos)
-		gSub.UpdateSubset(pos, all)
-		bufA = gFull.Pairs(120, bufA[:0])
-		bufB = gSub.Pairs(120, bufB[:0])
-		if !reflect.DeepEqual(bufA, bufB) {
-			t.Fatalf("tick %d: UpdateSubset(all) pairs diverge from Update:\n%v\n%v", tick, bufA, bufB)
-		}
-
-		// A proper subset (every other id) must yield exactly the
-		// brute-force pairs restricted to it.
-		half := all[:0:0]
-		in := make([]bool, n)
-		for i := 0; i < n; i += 2 {
-			half = append(half, int32(i))
-			in[i] = true
-		}
-		gSub.UpdateSubset(pos, half)
-		bufB = gSub.Pairs(120, bufB[:0])
-		var want [][2]int32
-		for _, p := range bruteForcePairs(pos, 120) {
-			if in[p[0]] && in[p[1]] {
-				want = append(want, p)
-			}
-		}
-		if len(bufB) != len(want) {
-			t.Fatalf("tick %d: subset pairs %d, want %d", tick, len(bufB), len(want))
-		}
-		for _, p := range bufB {
-			if !in[p[0]] || !in[p[1]] {
-				t.Fatalf("tick %d: pair %v includes an id outside the subset", tick, p)
-			}
-		}
-	}
-}
-
-// TestUpdateSubsetDeterministicOrder pins that two identical subset
-// rebuilds enumerate pairs in the same order — the property that lets a
-// shard's candidate list feed the serial merge without sorting.
-func TestUpdateSubsetDeterministicOrder(t *testing.T) {
-	s := rng.New(5)
-	area := NewRect(400, 400)
-	const n = 25
-	g1 := NewGrid(area, 80, n)
-	g2 := NewGrid(area, 80, n)
-	pos := make([]Point, n)
-	for i := range pos {
-		pos[i] = Point{s.Uniform(0, 400), s.Uniform(0, 400)}
-	}
-	ids := []int32{3, 7, 8, 11, 12, 15, 20, 24}
-	g1.UpdateSubset(pos, ids)
-	g2.UpdateSubset(pos, ids)
-	a := g1.Pairs(80, nil)
-	b := g2.Pairs(80, nil)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same subset, different pair order:\n%v\n%v", a, b)
-	}
-}
-
 // refGrid is the grid as it was before the index became incremental: every
 // update clears and refills per-cell buckets, and Pairs visits cells in
 // first-insertion order. It is the order-exact reference for the
@@ -321,27 +242,19 @@ func newRefGrid(area Rect, cell float64, n int) *refGrid {
 	return &refGrid{g: g, cells: make([][]int32, g.cols*g.rows), pos: make([]Point, n)}
 }
 
-func (r *refGrid) UpdateSubset(pos []Point, ids []int32) {
+func (r *refGrid) Update(pos []Point) {
 	for _, ci := range r.occupied {
 		r.cells[ci] = r.cells[ci][:0]
 	}
 	r.occupied = r.occupied[:0]
-	for _, id := range ids {
-		r.pos[id] = pos[id]
-		ci := r.g.CellIndex(pos[id])
+	copy(r.pos, pos)
+	for id, p := range pos {
+		ci := r.g.CellIndex(p)
 		if len(r.cells[ci]) == 0 {
 			r.occupied = append(r.occupied, int32(ci))
 		}
-		r.cells[ci] = append(r.cells[ci], id)
+		r.cells[ci] = append(r.cells[ci], int32(id))
 	}
-}
-
-func (r *refGrid) Update(pos []Point) {
-	all := make([]int32, len(pos))
-	for i := range all {
-		all[i] = int32(i)
-	}
-	r.UpdateSubset(pos, all)
 }
 
 func (r *refGrid) Pairs(radius float64, out [][2]int32) [][2]int32 {
@@ -457,11 +370,9 @@ func checkGridOps(t *testing.T, ops []byte) {
 	for i := range pos {
 		pos[i] = Point{s.Uniform(0, shape.w), s.Uniform(0, shape.h)}
 	}
-	var ids []int32
 	var got, want [][2]int32
 	for f, op := range ops[2:] {
 		param := int(op >> 3)
-		subset := false
 		switch op & 7 {
 		case 0: // small steps: most items stay in their cell
 			for i := range pos {
@@ -505,36 +416,19 @@ func checkGridOps(t *testing.T, ops []byte) {
 					pos[i] = Point{xs[s.IntN(len(xs))], ys[s.IntN(len(ys))]}
 				}
 			}
-		case 6: // a subset, in shuffled order, or the previous one again
-			subset = true
-			if ids == nil || param&1 == 0 {
-				ids = ids[:0]
-				for i := 0; i < n; i++ {
-					if s.IntN(32) <= param {
-						ids = append(ids, int32(i))
-					}
-				}
-			}
+		case 6: // drift: every item steps up to 30 m along each axis
 			for i := range pos {
 				pos[i] = pos[i].Add(Vec{s.Uniform(-30, 30), s.Uniform(-30, 30)})
 			}
-			s.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		case 7: // no motion at all
 		}
-		if subset {
-			g.UpdateSubset(pos, ids)
-			sorted := slices.Clone(ids)
-			slices.Sort(sorted)
-			ref.UpdateSubset(pos, sorted)
-		} else {
-			g.Update(pos)
-			ref.Update(pos)
-		}
+		g.Update(pos)
+		ref.Update(pos)
 		checkGridInvariants(t, g)
 		got = g.Pairs(radius, got[:0])
 		want = ref.Pairs(radius, want[:0])
 		if !slices.Equal(got, want) {
-			t.Fatalf("frame %d (op %d, subset %v): incremental pairs diverge from the reference:\n got %v\nwant %v", f, op, subset, got, want)
+			t.Fatalf("frame %d (op %d): incremental pairs diverge from the reference:\n got %v\nwant %v", f, op, got, want)
 		}
 	}
 }

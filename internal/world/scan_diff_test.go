@@ -92,9 +92,7 @@ func assertScanModesAgree(t *testing.T, sc config.Scenario, mode string) {
 
 // diffFamilies is the scenario matrix shared by every scanner-equivalence
 // test: all mobility kinds, per-node ranges, churn/flap faults, and energy
-// death. TestLazyScanMatchesNaive runs it lazy-vs-naive;
-// TestWorkerCountsMatchSerial (workers_diff_test.go) runs it across
-// parallel worker counts.
+// death. TestLazyScanMatchesNaive runs it lazy-vs-naive.
 func diffFamilies() map[string]func() config.Scenario {
 	return map[string]func() config.Scenario{
 		"rwp": diffBase,

@@ -3,39 +3,57 @@ package world
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
-	"strings"
+	"sync"
 	"testing"
 
 	"sdsrp/internal/config"
 	"sdsrp/internal/obs"
 )
 
-// runWorkers executes sc with the given worker count under the default scan
-// mode and returns the full JSONL trace, the result, and the contact log.
-func runWorkers(t *testing.T, sc config.Scenario, workers int) ([]byte, Result) {
-	t.Helper()
-	sc.Workers = workers
+// traceRun is one world's full JSONL trace and result.
+type traceRun struct {
+	trace []byte
+	res   Result
+	err   error
+}
+
+// runWorld builds and runs sc with its own JSONL tracer.
+func runWorld(sc config.Scenario) traceRun {
 	var buf bytes.Buffer
 	jsonl := obs.NewJSONL(&buf)
 	w, err := Build(sc, WithTracer(jsonl))
 	if err != nil {
-		t.Fatalf("build (workers=%d): %v", workers, err)
+		return traceRun{err: fmt.Errorf("build: %w", err)}
 	}
 	res, err := w.Run()
 	if err != nil {
-		t.Fatalf("run (workers=%d): %v", workers, err)
+		return traceRun{err: fmt.Errorf("run: %w", err)}
 	}
 	if err := jsonl.Flush(); err != nil {
-		t.Fatalf("flush (workers=%d): %v", workers, err)
+		return traceRun{err: fmt.Errorf("flush: %w", err)}
 	}
-	return buf.Bytes(), res
+	return traceRun{trace: buf.Bytes(), res: res}
 }
 
-// workerCounts returns the deduplicated, sorted differential matrix
-// {1, 2, 4, NumCPU} the acceptance criterion names.
+// runConcurrently runs `workers` independent worlds of sc side by side, one
+// goroutine each, the way the sweep runner's workers do.
+func runConcurrently(sc config.Scenario, workers int) []traceRun {
+	runs := make([]traceRun, workers)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i] = runWorld(sc)
+		}()
+	}
+	wg.Wait()
+	return runs
+}
+
+// workerCounts returns the deduplicated, sorted matrix {1, 2, 4, NumCPU}.
 func workerCounts() []int {
 	set := map[int]bool{1: true, 2: true, 4: true, runtime.NumCPU(): true}
 	var counts []int
@@ -46,159 +64,60 @@ func workerCounts() []int {
 	return counts
 }
 
-// TestWorkerCountsMatchSerial is the parallel-DES acceptance gate: across
-// every scenario family and seed of the scanner-differential matrix, the
-// sharded scan must emit a byte-identical event trace for workers ∈
-// {1, 2, 4, NumCPU}. Combined with TestLazyScanMatchesNaive this pins the
-// whole equivalence chain: sharded ≡ lazy ≡ naive for every worker count.
-//
-// Fallback is legitimate: a family whose fleet speed or radio range leaves
-// no conservative window (taxi replay's measured speeds, wide static-relay
-// radios at high worker counts) runs serially and trivially matches. The
-// parallelEngages map ensures the test cannot silently degenerate into
-// serial-vs-serial everywhere: families known to admit a window at
-// workers=2 must report shard windows > 0.
+// TestWorkerCountsMatchSerial pins the runner's one form of parallelism:
+// whole worlds side by side in one process. Across every scenario family
+// and seed of the scanner-differential matrix, each of `workers`
+// concurrently running worlds, for workers ∈ {2, 4, NumCPU}, must emit a
+// trace byte-identical to the same scenario run alone. A divergence means
+// two worlds share mutable state (a package-level cache, RNG or pool) —
+// the dynamic counterpart of dtnlint's shard-safety analyzers, and a data
+// race under -race.
 func TestWorkerCountsMatchSerial(t *testing.T) {
-	// Families whose 2-worker stripe geometry provably admits a window on
-	// the diffBase area (1500 m wide → 750 m bands, ≤ 400 m radios, fleet
-	// speeds ≤ 6 m/s): the sharded path must actually engage there.
-	parallelEngages := map[string]bool{
-		"rwp":                                  true,
-		"random-walk":                          true,
-		"random-direction":                     true,
-		"groups-static-relays-per-node-ranges": true,
-		"churn":                                true,
-		"static-relays-churn":                  true,
-		"flap-and-loss":                        true,
-		"energy-death":                         true,
-	}
 	counts := workerCounts()
 	for name, mk := range diffFamilies() {
 		for _, seed := range []uint64{1, 2, 3} {
 			sc := mk()
 			sc.Seed = seed
 			sc.Name = fmt.Sprintf("wdiff-%s-%d", name, seed)
-			mustEngage := parallelEngages[name]
 			t.Run(sc.Name, func(t *testing.T) {
 				t.Parallel()
-				serial, resS := runWorkers(t, sc, 1)
-				if resS.Perf.ShardWindows != 0 || resS.Perf.ShardBarriers != 0 {
-					t.Fatalf("serial run reported shard counters: %+v", resS.Perf)
+				serial := runWorld(sc)
+				if serial.err != nil {
+					t.Fatalf("serial: %v", serial.err)
 				}
 				for _, workers := range counts[1:] {
-					par, resP := runWorkers(t, sc, workers)
-					if !bytes.Equal(serial, par) {
-						sl := bytes.Split(serial, []byte("\n"))
-						pl := bytes.Split(par, []byte("\n"))
-						n := min(len(sl), len(pl))
-						for i := 0; i < n; i++ {
-							if !bytes.Equal(sl[i], pl[i]) {
-								t.Fatalf("workers=%d diverges at trace line %d:\n  serial:   %s\n  workers: %s",
-									workers, i+1, sl[i], pl[i])
+					for i, par := range runConcurrently(sc, workers) {
+						if par.err != nil {
+							t.Fatalf("workers=%d world %d: %v", workers, i, par.err)
+						}
+						if !bytes.Equal(serial.trace, par.trace) {
+							sl := bytes.Split(serial.trace, []byte("\n"))
+							pl := bytes.Split(par.trace, []byte("\n"))
+							n := min(len(sl), len(pl))
+							for j := 0; j < n; j++ {
+								if !bytes.Equal(sl[j], pl[j]) {
+									t.Fatalf("workers=%d world %d diverges at trace line %d:\n  serial: %s\n  world:  %s",
+										workers, i, j+1, sl[j], pl[j])
+								}
 							}
+							t.Fatalf("trace length differs: serial %d lines, workers=%d world %d %d lines",
+								len(sl), workers, i, len(pl))
 						}
-						t.Fatalf("trace length differs: serial %d lines, workers=%d %d lines",
-							len(sl), workers, len(pl))
-					}
-					if resS.Summary != resP.Summary {
-						t.Fatalf("summaries diverge at workers=%d:\nserial:   %+v\nparallel: %+v",
-							workers, resS.Summary, resP.Summary)
-					}
-					if resS.Contacts != resP.Contacts || resS.MeanContactDuration != resP.MeanContactDuration {
-						t.Fatalf("contact digests diverge at workers=%d", workers)
-					}
-					if resS.Perf.Events != resP.Perf.Events || resS.Perf.PeakQueue != resP.Perf.PeakQueue {
-						t.Fatalf("event accounting diverges at workers=%d: serial (%d, %d) parallel (%d, %d)",
-							workers, resS.Perf.Events, resS.Perf.PeakQueue, resP.Perf.Events, resP.Perf.PeakQueue)
-					}
-					if workers == 2 && mustEngage {
-						if resP.Perf.ShardWindows == 0 {
-							t.Errorf("workers=2 fell back to serial on a family that admits a window (perf %+v)", resP.Perf)
+						resS, resP := serial.res, par.res
+						if resS.Summary != resP.Summary {
+							t.Fatalf("summaries diverge at workers=%d world %d:\nserial: %+v\nworld:  %+v",
+								workers, i, resS.Summary, resP.Summary)
 						}
-						if resP.Perf.ShardBarriers == 0 {
-							t.Errorf("workers=2 crossed no barriers — sharded path inert")
+						if resS.Contacts != resP.Contacts || resS.MeanContactDuration != resP.MeanContactDuration {
+							t.Fatalf("contact digests diverge at workers=%d world %d", workers, i)
+						}
+						if resS.Perf.Events != resP.Perf.Events || resS.Perf.PeakQueue != resP.Perf.PeakQueue {
+							t.Fatalf("event accounting diverges at workers=%d world %d: serial (%d, %d) world (%d, %d)",
+								workers, i, resS.Perf.Events, resS.Perf.PeakQueue, resP.Perf.Events, resP.Perf.PeakQueue)
 						}
 					}
 				}
 			})
 		}
-	}
-}
-
-// TestWorkersFallbackIsExact pins the documented fallback: a worker count
-// whose stripes are too narrow for the fleet (or any scenario without a
-// conservative window) must run serially — zero shard counters — and still
-// match the serial trace byte for byte, now with the refusal recorded in
-// the fallback-reason string.
-func TestWorkersFallbackIsExact(t *testing.T) {
-	sc := diffBase()
-	sc.Seed = 7
-	sc.Name = "wdiff-fallback"
-	// 64 stripes over 1500 m → 23 m bands, far below the 100 m radio
-	// range: no window exists, the run must fall back.
-	serial, resS := runWorkers(t, sc, 1)
-	par, resP := runWorkers(t, sc, 64)
-	if resP.Perf.ShardWindows != 0 {
-		t.Fatalf("expected serial fallback at 64 workers, got %d shard windows", resP.Perf.ShardWindows)
-	}
-	if want := "parscan:no-conservative-window->serial"; resP.Perf.ScanFallback != want {
-		t.Fatalf("fallback reason = %q, want %q", resP.Perf.ScanFallback, want)
-	}
-	if resS.Perf.ScanFallback != "" {
-		t.Fatalf("serial run recorded a fallback: %q", resS.Perf.ScanFallback)
-	}
-	if !bytes.Equal(serial, par) {
-		t.Fatal("fallback trace diverges from serial")
-	}
-	if !reflect.DeepEqual(resS.Summary, resP.Summary) {
-		t.Fatalf("fallback summary diverges:\n%+v\n%+v", resS.Summary, resP.Summary)
-	}
-}
-
-// TestWorkersWithKineticConfigured closes the strategy matrix's last edge:
-// ScanMode=kinetic with Workers ≥ 2. Where the sharded scan engages, the
-// configured serial mode is bypassed; where it refuses (64 stripes over a
-// 1500 m area leave no window), the run must land on the kinetic planner —
-// not lazy — and still match the serial naive trace byte for byte.
-func TestWorkersWithKineticConfigured(t *testing.T) {
-	for name, mk := range diffFamilies() {
-		sc := mk()
-		sc.Seed = 1
-		sc.ScanMode = "kinetic"
-		sc.Name = fmt.Sprintf("wkin-%s", name)
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			serial, resS := runWorkers(t, sc, 1)
-			par, resP := runWorkers(t, sc, 2)
-			if !bytes.Equal(serial, par) {
-				t.Fatal("workers=2 kinetic-configured trace diverges from serial kinetic")
-			}
-			if resS.Summary != resP.Summary {
-				t.Fatalf("summaries diverge:\nserial:   %+v\nparallel: %+v", resS.Summary, resP.Summary)
-			}
-		})
-	}
-	// Forced refusal: the parscan fallback must honour the configured
-	// kinetic mode (PairsSkipped counts parked node-ticks only there).
-	sc := diffBase()
-	sc.Seed = 7
-	sc.ScanMode = "kinetic"
-	sc.Name = "wkin-fallback"
-	serial, resS := runWorkers(t, sc, 1)
-	par, resP := runWorkers(t, sc, 64)
-	// Prefix, not equality: on this small dense base the kinetic planner may
-	// legitimately retire itself later via its load monitor, appending a
-	// second reason.
-	if want := "parscan:no-conservative-window->serial"; !strings.HasPrefix(resP.Perf.ScanFallback, want) {
-		t.Fatalf("fallback reason = %q, want prefix %q", resP.Perf.ScanFallback, want)
-	}
-	if resP.Perf.PairsSkipped == 0 {
-		t.Fatal("parscan fallback did not engage the kinetic planner")
-	}
-	if !bytes.Equal(serial, par) {
-		t.Fatal("kinetic fallback trace diverges from serial kinetic")
-	}
-	if resS.Summary != resP.Summary {
-		t.Fatalf("fallback summary diverges:\n%+v\n%+v", resS.Summary, resP.Summary)
 	}
 }
