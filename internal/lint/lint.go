@@ -59,9 +59,9 @@
 //   - alloc-hot: composite-literal heap allocations, make, fresh-slice
 //     append growth, and interface boxing inside functions that carry a
 //     "Performance contract" doc comment in the hot-path packages
-//     (internal/geo, eventq, policy, buffer). The PR-4 contracts promise
-//     steady-state allocation-free operation; this check keeps the promise
-//     machine-verified.
+//     (internal/geo, eventq, policy, buffer, network). The contracts
+//     promise steady-state allocation-free operation; this check keeps the
+//     promise machine-verified.
 //
 // A package that passes the shard-safety checks can declare it with a
 // `//lint:shard-safe <reason>` comment; Coverage reports which engine
@@ -215,6 +215,7 @@ func DefaultConfig() Config {
 			"internal/eventq",
 			"internal/policy",
 			"internal/buffer",
+			"internal/network",
 		},
 	}
 }

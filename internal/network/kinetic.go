@@ -63,8 +63,9 @@ import (
 //   - Every linkDown — scan separation, flap, churn crash — wakes both
 //     endpoints (onLinkDown), the same conservative discipline the sweep
 //     applies to pairs; linked pairs are excluded from pair deadlines
-//     because the per-tick down walk over Manager.links owns them.
-//   - Downs derive from Manager.links exactly like the naive path, in
+//     because the per-tick down walk over the live-link slice
+//     (Manager.live) owns them.
+//   - Downs derive from Manager.live exactly like the naive path, in
 //     sortPairKeys order. Position sampling is lazy but Model.Pos is
 //     deterministic for a given query time, so sampled values are
 //     bit-identical to the naive schedule.
@@ -411,8 +412,8 @@ func (m *Manager) scanKinetic(now float64) {
 					if jj == i {
 						continue
 					}
-					if _, linked := m.neighbors[i][jj]; linked {
-						// The per-tick down walk over Manager.links owns
+					if len(m.adj[i]) > 0 && m.lookup(keyOf(i, jj)) != nil {
+						// The per-tick down walk over Manager.live owns
 						// linked pairs; they never constrain a deadline.
 						continue
 					}
@@ -447,31 +448,23 @@ func (m *Manager) scanKinetic(now float64) {
 		s.windowChecked += checked
 	}
 
-	// 4. Downs, exactly like the naive path: recompute the predicate per
-	// live link, canonical sort, teardown with deferred kicks. linkDown
-	// wakes both endpoints via onLinkDown.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		a, b := int(k[0]), int(k[1])
-		s.samplePos(a, now)
-		s.samplePos(b, now)
-		checked++
-		if !m.pairInContact(a, b) {
-			downs = append(downs, k)
-		}
+	// 4. Downs, exactly like the naive path: sample every live link's
+	// endpoints, recompute the predicate per link, canonical sort,
+	// teardown with deferred kicks. linkDown wakes both endpoints via
+	// onLinkDown.
+	for _, l := range m.live {
+		s.samplePos(int(l.key[0]), now)
+		s.samplePos(int(l.key[1]), now)
 	}
-	sortPairKeys(downs)
-	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
-	}
+	checked += uint64(len(m.live))
+	freed := m.tearDowns(now)
 
 	// 5. Ups. One candidate needs no ordering; two or more are sorted into
 	// the naive grid-pass order from the bucket structure alone.
 	switch len(s.ups) {
 	case 0:
 	case 1:
-		if _, up := m.links[s.ups[0]]; !up {
+		if m.lookup(s.ups[0]) == nil {
 			m.linkUp(s.ups[0], now)
 		}
 	default:
@@ -579,7 +572,7 @@ func (s *kinetic) emitUps(now float64) {
 		return ord[x].b < ord[y].b
 	})
 	for _, c := range ord {
-		if _, up := m.links[c.key]; !up {
+		if m.lookup(c.key) == nil {
 			m.linkUp(c.key, now)
 		}
 	}
@@ -603,7 +596,7 @@ func (s *kinetic) replayNaiveUps(now float64) {
 		if m.flapped[k] {
 			continue
 		}
-		if _, up := m.links[k]; !up {
+		if m.lookup(k) == nil {
 			m.linkUp(k, now)
 		}
 	}

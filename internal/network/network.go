@@ -25,8 +25,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,19 +105,23 @@ func keyOf(a, b int) pairKey {
 }
 
 // sortPairKeys orders link keys lexicographically — the canonical order for
-// keys collected from the link and neighbor maps before any teardown or
-// event emission, so map iteration order never reaches observable output.
+// the keys a down walk collects from the live-link slice, whose order is
+// internal (swap-removal), before any teardown or event emission.
 func sortPairKeys(keys []pairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
+	if len(keys) < 2 {
+		return
+	}
+	slices.SortFunc(keys, func(x, y pairKey) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return keys[i][1] < keys[j][1]
+		return cmp.Compare(x[1], y[1])
 	})
 }
 
+// transfer is a link's in-flight transfer. It lives inside its link: a
+// link carries at most one at a time.
 type transfer struct {
-	link      *link
 	sender    *routing.Host
 	receiver  *routing.Host
 	offer     routing.Offer
@@ -124,12 +130,20 @@ type transfer struct {
 }
 
 type link struct {
-	key    pairKey
-	a, b   *routing.Host // a.ID() < b.ID()
-	upAt   float64
-	active *transfer
+	key  pairKey
+	a, b *routing.Host // a.ID() < b.ID()
+	upAt float64
+	// slot is the link's index in Manager.live.
+	slot int32
+	// busy reports that xfer holds an in-flight transfer.
+	busy bool
+	xfer transfer
+	// onDone completes xfer; bound on the link's first transfer and
+	// reused by every later one.
+	onDone func(float64)
 	// refusedTo[0] holds ids refused by b (direction a→b); refusedTo[1]
-	// ids refused by a (direction b→a). Cleared when the contact ends.
+	// ids refused by a (direction b→a). Each is allocated on its first
+	// refusal and dropped with the link when the contact ends.
 	refusedTo [2]map[msg.ID]bool
 	// flip alternates which direction gets first pick, for fairness
 	// during long contacts.
@@ -149,14 +163,19 @@ type Manager struct {
 	models []mobility.Model
 	grid   *geo.Grid
 
-	links     map[pairKey]*link
-	neighbors []map[int]*link // per host: peer id -> link
-	busy      []bool
+	// live holds every up link; link.slot is its index. Swap-removal keeps
+	// both O(1); the order is internal — down walks sort what they collect.
+	live []*link
+	// adj holds each host's up links in ascending peer order, which for
+	// one host's links is the canonical sortPairKeys order.
+	adj  [][]adjEntry
+	busy []bool
 
 	collector *stats.Collector
 	inter     *stats.Intermeeting // may be nil
 	tracer    obs.Tracer          // may be nil
-	lastEnd   map[pairKey]float64
+	// lastEnd holds each pair's last contact end; nil unless inter is set.
+	lastEnd map[pairKey]float64
 
 	positions  []geo.Point
 	pairBuf    [][2]int32
@@ -232,19 +251,17 @@ func NewManager(eng *sim.Engine, cfg Config, hosts []*routing.Host, models []mob
 		ranges:    cfg.Ranges,
 		maxRange:  maxRange,
 		grid:      geo.NewGrid(cfg.Area, cell, n),
-		links:     make(map[pairKey]*link),
-		neighbors: make([]map[int]*link, n),
+		adj:       make([][]adjEntry, n),
 		busy:      make([]bool, n),
 		collector: collector,
 		inter:     inter,
 		tracer:    cfg.Tracer,
-		lastEnd:   make(map[pairKey]float64),
 		positions: make([]geo.Point, n),
 		energy:    newEnergyState(cfg.Energy, n),
 		faults:    cfg.Faults,
 	}
-	for i := range m.neighbors {
-		m.neighbors[i] = make(map[int]*link)
+	if inter != nil {
+		m.lastEnd = make(map[pairKey]float64)
 	}
 	if m.faults.ChurnEnabled() {
 		m.down = make([]bool, n)
@@ -345,7 +362,7 @@ func (m *Manager) Start() {
 func (m *Manager) Contacts() int { return m.contacts }
 
 // ActiveLinks returns the number of links currently up.
-func (m *Manager) ActiveLinks() int { return len(m.links) }
+func (m *Manager) ActiveLinks() int { return len(m.live) }
 
 // ContactDurations returns the sampler of finished contact lengths in
 // seconds (links still up at the horizon are not included).
@@ -385,28 +402,11 @@ func (m *Manager) scanNaive(now float64) {
 	m.grid.Update(m.positions)
 	m.pairBuf = m.grid.Pairs(m.maxRange, m.pairBuf[:0])
 
-	// Downs first (frees endpoints). Collect the link-map keys, then sort:
-	// the teardown order must never inherit map iteration order, or the
-	// abort/kick sequence — and every event it emits — would vary run to run.
-	// The in-contact predicate is recomputed per link instead of consulting a
-	// freshly built pair-set map: pairInContact true implies membership in
-	// pairBuf (the grid finds every pair within maxRange ≥ the pair range),
-	// so the diff against the old map semantics is exact — and the per-tick
-	// map allocation is gone.
-	downs := m.downsBuf[:0]
-	for k := range m.links {
-		if !m.pairInContact(int(k[0]), int(k[1])) {
-			downs = append(downs, k)
-		}
-	}
-	sortPairKeys(downs)
-	// Kicks are deferred until every down in this tick is processed, so a
-	// freed endpoint never starts a transfer on a sibling link that is
-	// itself about to drop in the same tick.
-	freed := m.freedBuf[:0]
-	for _, k := range downs {
-		freed = m.linkDown(k, now, freed)
-	}
+	// Downs first (frees endpoints). The in-contact predicate is recomputed
+	// per live link instead of consulting a freshly built pair set:
+	// pairInContact true implies membership in pairBuf (the grid finds every
+	// pair within maxRange ≥ the pair range), so the diff is exact.
+	freed := m.tearDowns(now)
 
 	// Ups in grid order (already deterministic), skipping existing links,
 	// dead endpoints, and flap-suppressed pairs (a flapped contact stays
@@ -419,7 +419,7 @@ func (m *Manager) scanNaive(now float64) {
 		if m.flapped[k] {
 			continue
 		}
-		if _, up := m.links[k]; !up {
+		if m.lookup(k) == nil {
 			m.linkUp(k, now)
 		}
 	}
@@ -429,8 +429,40 @@ func (m *Manager) scanNaive(now float64) {
 			delete(m.flapped, k)
 		}
 	}
-	m.pairsChecked += uint64(len(m.links)) + uint64(len(m.pairBuf)) + uint64(len(m.flapped))
+	m.pairsChecked += uint64(len(m.live)) + uint64(len(m.pairBuf)) + uint64(len(m.flapped))
 	m.finishScan(freed, now)
+}
+
+// collectDowns returns, in canonical sortPairKeys order, the keys of every
+// live link whose pair is no longer in contact. Callers must have sampled
+// every live link's endpoints for the current tick. The result aliases the
+// per-tick scratch buffer.
+//
+// Performance contract: one pass over the live-link slice plus a sort of
+// the downs; no allocation once the scratch buffer is warm.
+func (m *Manager) collectDowns() []pairKey {
+	downs := m.downsBuf[:0]
+	for _, l := range m.live {
+		if !m.pairInContact(int(l.key[0]), int(l.key[1])) {
+			downs = append(downs, l.key)
+		}
+	}
+	sortPairKeys(downs)
+	m.downsBuf = downs
+	return downs
+}
+
+// tearDowns takes down, in canonical order, every live link whose pair
+// left contact (collectDowns) and returns the freed endpoints. Kicks are
+// deferred until every down in the tick is processed (finishScan), so a
+// freed endpoint never starts a transfer on a sibling link that is itself
+// about to drop in the same tick.
+func (m *Manager) tearDowns(now float64) []int {
+	freed := m.freedBuf[:0]
+	for _, k := range m.collectDowns() {
+		freed = m.linkDown(m.lookup(k), now, freed)
+	}
+	return freed
 }
 
 // finishScan kicks the endpoints freed by this tick's downs, in sorted
@@ -474,11 +506,56 @@ func (m *Manager) pairRange(a, b int) float64 {
 	return math.Min(m.ranges[a], m.ranges[b])
 }
 
+// adjEntry is one of a host's up links, keyed by the peer's id.
+type adjEntry struct {
+	peer int32
+	l    *link
+}
+
+// lookup returns the live link for pair k, or nil.
+//
+// Performance contract: scans the shorter of the two ascending adjacency
+// lists, stopping at the first larger peer; no allocation.
+func (m *Manager) lookup(k pairKey) *link {
+	a, b := int(k[0]), int(k[1])
+	if len(m.adj[b]) < len(m.adj[a]) {
+		a, b = b, a
+	}
+	for _, e := range m.adj[a] {
+		if int(e.peer) >= b {
+			if int(e.peer) == b {
+				return e.l
+			}
+			break
+		}
+	}
+	return nil
+}
+
+// adjInsert adds l to host id's adjacency, keeping peers ascending.
+func (m *Manager) adjInsert(id int, peer int32, l *link) {
+	s := m.adj[id]
+	i := len(s)
+	for i > 0 && s[i-1].peer > peer {
+		i--
+	}
+	m.adj[id] = slices.Insert(s, i, adjEntry{peer: peer, l: l})
+}
+
+// adjRemove drops peer from host id's adjacency.
+func (m *Manager) adjRemove(id int, peer int32) {
+	s := m.adj[id]
+	for i, e := range s {
+		if e.peer == peer {
+			m.adj[id] = slices.Delete(s, i, i+1)
+			return
+		}
+	}
+}
+
 func (m *Manager) linkUp(k pairKey, now float64) {
 	a, b := m.hosts[k[0]], m.hosts[k[1]]
-	l := &link{key: k, a: a, b: b, upAt: now, bw: 1}
-	l.refusedTo[0] = make(map[msg.ID]bool)
-	l.refusedTo[1] = make(map[msg.ID]bool)
+	l := &link{key: k, a: a, b: b, upAt: now, bw: 1, slot: int32(len(m.live))}
 	if m.faults != nil {
 		// Fixed draw order (jitter, then flap), each from its own
 		// substream, so enabling one model never shifts the other.
@@ -487,9 +564,9 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 			l.flapTimer = m.eng.After(d, func(flapAt float64) { m.flapLink(k, flapAt) })
 		}
 	}
-	m.links[k] = l
-	m.neighbors[k[0]][int(k[1])] = l
-	m.neighbors[k[1]][int(k[0])] = l
+	m.live = append(m.live, l)
+	m.adjInsert(int(k[0]), k[1], l)
+	m.adjInsert(int(k[1]), k[0], l)
 	if m.sweep != nil {
 		m.sweep.onLinkUp(k)
 	}
@@ -512,9 +589,14 @@ func (m *Manager) linkUp(k pairKey, now float64) {
 // freed by an abort are appended to freed (deduplicated by the caller) so
 // their next transfers start only after the caller finishes its batch of
 // topology changes; the updated slice is returned.
-func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
-	l := m.links[k]
-	delete(m.links, k)
+func (m *Manager) linkDown(l *link, now float64, freed []int) []int {
+	k := l.key
+	last := len(m.live) - 1
+	moved := m.live[last]
+	m.live[l.slot] = moved
+	moved.slot = l.slot
+	m.live[last] = nil
+	m.live = m.live[:last]
 	l.flapTimer.Cancel()
 	m.durations.Add(now - l.upAt)
 	if m.cfg.RecordContacts {
@@ -522,8 +604,8 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 			A: int(k[0]), B: int(k[1]), Start: l.upAt, End: now,
 		})
 	}
-	delete(m.neighbors[k[0]], int(k[1]))
-	delete(m.neighbors[k[1]], int(k[0]))
+	m.adjRemove(int(k[0]), k[1])
+	m.adjRemove(int(k[1]), k[0])
 	if m.sweep != nil {
 		// Every teardown — scan separation, flap, churn crash — returns the
 		// pair to the every-tick set; the next tick re-parks it if it is
@@ -536,7 +618,9 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 		// tick if their neighbourhoods are genuinely quiet.
 		m.kin.onLinkDown(k)
 	}
-	m.lastEnd[k] = now
+	if m.lastEnd != nil {
+		m.lastEnd[k] = now
+	}
 	if m.tracer != nil {
 		m.tracer.Emit(obs.Event{T: now, Type: obs.ContactDown, Node: int(k[0]), Peer: int(k[1])})
 	}
@@ -544,9 +628,10 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 	l.a.OnLinkDown(l.b, now)
 	l.b.OnLinkDown(l.a, now)
 
-	if t := l.active; t != nil {
+	if l.busy {
+		t := &l.xfer
 		t.done.Cancel()
-		l.active = nil
+		l.busy = false
 		m.busy[t.sender.ID()] = false
 		m.busy[t.receiver.ID()] = false
 		m.chargeTransfer(t, now-t.startedAt, now)
@@ -565,25 +650,20 @@ func (m *Manager) linkDown(k pairKey, now float64, freed []int) []int {
 // when new traffic appears at a node mid-contact).
 func (m *Manager) Kick(id int, now float64) { m.kick(id, now) }
 
+// kick offers host id's idle links a transfer, in ascending peer order.
+//
+// Performance contract: walks the host's adjacency in place; no allocation
+// here (tryStart allocates only a link's completion handler, once).
 func (m *Manager) kick(id int, now float64) {
-	peers := make([]int, 0, len(m.neighbors[id]))
-	for p := range m.neighbors[id] {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
-		l, ok := m.neighbors[id][p]
-		if !ok {
-			continue // the previous iteration may have torn state down
-		}
-		m.tryStart(l, now)
+	for _, e := range m.adj[id] {
+		m.tryStart(e.l, now)
 	}
 }
 
 // tryStart attempts to begin a transfer on l in either direction. The
 // starting direction alternates per attempt for fairness.
 func (m *Manager) tryStart(l *link, now float64) {
-	if l.active != nil || m.busy[l.a.ID()] || m.busy[l.b.ID()] {
+	if l.busy || m.busy[l.a.ID()] || m.busy[l.b.ID()] {
 		return
 	}
 	first, second := 0, 1 // 0 = a→b, 1 = b→a
@@ -601,14 +681,13 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 	if dir == 1 {
 		sender, receiver = l.b, l.a
 	}
-	refused := l.refusedTo[dir]
 	for {
-		offer, ok := sender.NextOffer(receiver, func(id msg.ID) bool { return refused[id] })
+		offer, ok := sender.NextOffer(receiver, func(id msg.ID) bool { return l.refusedTo[dir][id] })
 		if !ok {
 			return false
 		}
 		if !receiver.PreAccept(offer, now) {
-			refused[offer.S.M.ID] = true
+			l.refuse(dir, offer.S.M.ID)
 			m.collector.TransferRefused()
 			if m.tracer != nil {
 				m.tracer.Emit(obs.Event{T: now, Type: obs.MessageRefused, Msg: offer.S.M.ID,
@@ -616,10 +695,13 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 			}
 			continue
 		}
-		t := &transfer{link: l, sender: sender, receiver: receiver, offer: offer, startedAt: now}
+		if l.onDone == nil {
+			l.onDone = func(doneAt float64) { m.complete(l, doneAt) }
+		}
 		dur := float64(offer.S.M.Size) / (m.cfg.Bandwidth * l.bw)
-		t.done = m.eng.At(now+dur, func(doneAt float64) { m.complete(t, doneAt) })
-		l.active = t
+		l.xfer = transfer{sender: sender, receiver: receiver, offer: offer, startedAt: now,
+			done: m.eng.At(now+dur, l.onDone)}
+		l.busy = true
 		l.flip = !l.flip
 		m.busy[sender.ID()] = true
 		m.busy[receiver.ID()] = true
@@ -633,10 +715,24 @@ func (m *Manager) startDirection(l *link, dir int, now float64) bool {
 	}
 }
 
-func (m *Manager) complete(t *transfer, now float64) {
-	t.link.active = nil
-	m.busy[t.sender.ID()] = false
-	m.busy[t.receiver.ID()] = false
+// refuse records that the receiver in direction dir refused id, so it is
+// not re-offered during this contact.
+func (l *link) refuse(dir int, id msg.ID) {
+	if l.refusedTo[dir] == nil {
+		l.refusedTo[dir] = make(map[msg.ID]bool)
+	}
+	l.refusedTo[dir][id] = true
+}
+
+// complete finishes l's in-flight transfer. Everything it reads from the
+// transfer is read before the first kick: that kick can start l's next
+// transfer in the same struct.
+func (m *Manager) complete(l *link, now float64) {
+	t := &l.xfer
+	l.busy = false
+	sender, receiver := t.sender, t.receiver
+	m.busy[sender.ID()] = false
+	m.busy[receiver.ID()] = false
 	m.chargeTransfer(t, now-t.startedAt, now)
 
 	id := t.offer.S.M.ID
@@ -670,14 +766,14 @@ func (m *Manager) complete(t *transfer, now float64) {
 		if !routing.CommitTransfer(t.sender, t.receiver, t.offer, now) {
 			// Receiver-side late refusal; don't re-offer this contact.
 			dir := 0
-			if t.sender == t.link.b {
+			if t.sender == l.b {
 				dir = 1
 			}
-			t.link.refusedTo[dir][id] = true
+			l.refuse(dir, id)
 		}
 	}
-	m.kick(t.sender.ID(), now)
-	m.kick(t.receiver.ID(), now)
+	m.kick(sender.ID(), now)
+	m.kick(receiver.ID(), now)
 }
 
 // chargeTransfer drains both endpoints for elapsed seconds of radio time.
